@@ -10,7 +10,7 @@
 //! minimum average Hamming distance." (§2.2)
 
 use crate::kym::KymSite;
-use meme_index::{HammingIndex, MihIndex};
+use meme_index::{FallbackIndex, HammingIndex};
 use meme_phash::PHash;
 use serde::{Deserialize, Serialize};
 
@@ -96,9 +96,10 @@ pub fn annotate_clusters_with_stats(
 /// Annotate every cluster medoid against a KYM site at threshold
 /// `theta`.
 ///
-/// Implementation: one multi-index over all gallery hashes (tagged with
-/// their entry), one radius query per medoid — the same two-sided
-/// speedup the paper got from its GPU pairwise engine.
+/// Implementation: one index over all gallery hashes (tagged with their
+/// entry; multi-index hashing at θ ≤ 15, brute force above), one radius
+/// query per medoid — the same two-sided speedup the paper got from its
+/// GPU pairwise engine.
 pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<ClusterAnnotation> {
     // Flatten galleries with back-pointers.
     let mut gallery_hashes: Vec<PHash> = Vec::new();
@@ -109,8 +110,7 @@ pub fn annotate_clusters(medoids: &[PHash], site: &KymSite, theta: u32) -> Vec<C
             owner.push(entry.id);
         }
     }
-    // lint:allow(panic-reachable): theta is a hash-distance threshold bounded far below MihIndex::new's 64-band limit
-    let index = MihIndex::new(gallery_hashes, theta);
+    let index = FallbackIndex::build(gallery_hashes, theta);
 
     medoids
         .iter()

@@ -1,11 +1,11 @@
-//! Step-2/6 benchmarks: the three Hamming radius-query engines.
+//! Step-2/6 benchmarks: the two Hamming radius-query engines.
 //!
 //! This is the reproduction's counterpart of §7's performance
 //! discussion (73 images/sec on two Titan Xp GPUs against 12K medoids):
 //! radius-8 queries of a stream of hashes against a medoid set.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use meme_index::{BkTreeIndex, BruteForceIndex, HammingIndex, MihIndex};
+use meme_index::{BruteForceIndex, HammingIndex, MihIndex};
 use meme_phash::PHash;
 use meme_stats::seeded_rng;
 use rand::RngExt;
@@ -46,17 +46,6 @@ fn bench_engines(c: &mut Criterion) {
             })
         });
 
-        let bk = BkTreeIndex::new(hashes.clone());
-        group.bench_with_input(BenchmarkId::new("bktree", n), &n, |b, _| {
-            b.iter(|| {
-                let mut total = 0usize;
-                for &q in &queries {
-                    total += bk.radius_query(q, 8).len();
-                }
-                black_box(total)
-            })
-        });
-
         let mih = MihIndex::new(hashes.clone(), 8);
         group.bench_with_input(BenchmarkId::new("mih", n), &n, |b, _| {
             b.iter(|| {
@@ -74,9 +63,6 @@ fn bench_engines(c: &mut Criterion) {
 fn bench_build(c: &mut Criterion) {
     let hashes = clustered_hashes(20_000, 44);
     let mut group = c.benchmark_group("index_build_20k");
-    group.bench_function("bktree", |b| {
-        b.iter(|| black_box(BkTreeIndex::new(hashes.clone())))
-    });
     group.bench_function("mih", |b| {
         b.iter(|| black_box(MihIndex::new(hashes.clone(), 8)))
     });

@@ -27,8 +27,8 @@ use meme_core::runner::PipelineRunner;
 use meme_core::supervise::SupervisedRunner;
 use meme_hawkes::InfluenceEstimator;
 use meme_index::{
-    all_neighbors, effective_threads, symmetric_neighbors, BkTreeIndex, BruteForceIndex,
-    HammingIndex, HashGroups, MihIndex,
+    all_neighbors, effective_threads, symmetric_neighbors, BruteForceIndex, HammingIndex,
+    HashGroups, MihIndex,
 };
 use meme_metrics::{Metrics, Registry};
 use meme_phash::{HashScratch, ImageHasher, PHash, PerceptualHasher};
@@ -214,15 +214,11 @@ pub fn clustering_baseline(seed: u64, threads: usize) -> String {
     let mih = timed_engine(&metrics, "mih", threads, hashes.len(), || {
         MihIndex::new(hashes.clone(), EPS)
     });
-    let bk = timed_engine(&metrics, "bk_tree", threads, hashes.len(), || {
-        BkTreeIndex::new(hashes.clone())
-    });
     let brute = timed_engine(&metrics, "brute_force", threads, hashes.len(), || {
         BruteForceIndex::new(hashes.clone())
     });
     // The engines must agree; a baseline taken off a divergent engine
     // would be comparing different work.
-    assert_eq!(mih, bk, "bk_tree diverged from mih");
     assert_eq!(mih, brute, "brute_force diverged from mih");
 
     let neighbors = mih;

@@ -9,7 +9,7 @@ use meme_annotate::annotator::{annotate_clusters, clusters_per_entry, ClusterAnn
 use meme_annotate::kym::KymCategory;
 use meme_cluster::dbscan::{dbscan, Clustering, DbscanParams};
 use meme_cluster::purity::cluster_false_positive_fractions;
-use meme_index::{symmetric_neighbors, HashGroups, MihIndex};
+use meme_index::{symmetric_neighbors, FallbackIndex, HashGroups};
 use meme_phash::PHash;
 use meme_simweb::{Community, Dataset, SUBREDDITS};
 use meme_stats::timeseries::DailySeries;
@@ -147,8 +147,7 @@ pub fn cluster_community(
     // Same collapsed path as the pipeline's cluster stage: index the
     // distinct hashes only, expand through the owner table.
     let groups = HashGroups::new(&hashes);
-    // lint:allow(panic-reachable): eps is a hash-distance threshold far below MihIndex::new's 64-band limit
-    let index = MihIndex::new(groups.unique().to_vec(), params.eps);
+    let index = FallbackIndex::build(groups.unique().to_vec(), params.eps);
     let (neighbors, _) = symmetric_neighbors(&index, &groups, params.eps, threads);
     // lint:allow(panic-reachable): min_pts >= 1 comes from validated clustering parameters; dbscan's contract holds
     let clustering = dbscan(&neighbors, params.min_pts);
@@ -539,8 +538,7 @@ pub fn eps_sweep(
     // One collapse + one index (at the sweep's largest radius) serve
     // every eps value; only the pair sweep reruns per row.
     let groups = HashGroups::new(&hashes);
-    // lint:allow(panic-reachable): max_eps is a hash-distance threshold far below MihIndex::new's 64-band limit
-    let index = MihIndex::new(groups.unique().to_vec(), max_eps);
+    let index = FallbackIndex::build(groups.unique().to_vec(), max_eps);
     eps_values
         .iter()
         .map(|&eps| {

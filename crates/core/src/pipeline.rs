@@ -353,8 +353,7 @@ pub struct Pipeline {
     config: PipelineConfig,
     metrics: Metrics,
     /// Execution-fault oracle (chaos testing); [`NoFaults`] in
-    /// production, where every consultation is skipped via
-    /// [`ExecFaults::enabled`].
+    /// production, which passes every stage and item.
     faults: Arc<dyn ExecFaults>,
     /// Which supervised attempt of the current stage this is (0-based);
     /// only fault decisions depend on it, so clean runs are identical
@@ -423,28 +422,26 @@ impl Pipeline {
         dataset: &Dataset,
         state: &mut StageState,
     ) -> Result<(), PipelineError> {
-        if self.faults.enabled() {
-            match self.faults.stage_fault(stage, self.attempt) {
-                StageFault::Pass => {}
-                StageFault::Panic => {
-                    // lint:allow(panic-in-pipeline): deliberate injected fault — the supervisor's catch_unwind must contain it
-                    panic!(
-                        "injected fault: stage `{stage}` panicked on attempt {}",
-                        self.attempt
-                    )
-                }
-                StageFault::Transient => {
-                    return Err(PipelineError::Stage {
-                        stage,
-                        cluster: None,
-                        source: StageError::Transient {
-                            detail: format!(
-                                "injected transient stage fault on attempt {}",
-                                self.attempt
-                            ),
-                        },
-                    })
-                }
+        match self.faults.stage_fault(stage, self.attempt) {
+            StageFault::Pass => {}
+            StageFault::Panic => {
+                // lint:allow(panic-in-pipeline): deliberate injected fault — the supervisor's catch_unwind must contain it
+                panic!(
+                    "injected fault: stage `{stage}` panicked on attempt {}",
+                    self.attempt
+                )
+            }
+            StageFault::Transient => {
+                return Err(PipelineError::Stage {
+                    stage,
+                    cluster: None,
+                    source: StageError::Transient {
+                        detail: format!(
+                            "injected transient stage fault on attempt {}",
+                            self.attempt
+                        ),
+                    },
+                })
             }
         }
         match stage {
@@ -551,7 +548,7 @@ impl Pipeline {
     /// stage-scoped variant keeps the cluster and associate indexes
     /// distinguishable) and the engine-choice counter.
     fn build_index(&self, hashes: Vec<PHash>, radius: u32, stage: &str) -> FallbackIndex {
-        let (engine, _) = FallbackIndex::plan(&hashes, radius);
+        let (engine, _) = FallbackIndex::plan(radius);
         let span = self.metrics.span(&format!("index/build/{}", engine.slug()));
         let index = FallbackIndex::build(hashes, radius);
         span.finish();
@@ -612,75 +609,49 @@ impl Pipeline {
             let annotated = &annotated;
             let assoc_index = &assoc_index;
             let groups_ref = &groups;
-            if !self.faults.enabled() {
-                crossbeam::thread::scope(|s| {
-                    for (chunk_id, slot_chunk) in unique_occ.chunks_mut(chunk_len).enumerate() {
-                        s.spawn(move |_| {
-                            let mut scratch = QueryScratch::new();
-                            let mut hits = Vec::new();
-                            for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                                let h = groups_ref.unique()[chunk_id * chunk_len + off];
-                                assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
-                                *slot = hits
-                                    .iter()
-                                    .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
-                                    .map(|&pos| annotated[pos]);
+            // Per-item verdicts are collected positionally (chunked
+            // exactly like the slots), so thread count cannot reorder
+            // them. Faulted items keep the `None` sentinel — a poison
+            // hash simply matches no cluster.
+            let mut verdicts: Vec<ItemFault> = vec![ItemFault::Pass; n_unique];
+            let faults = &*self.faults;
+            let attempt = self.attempt;
+            crossbeam::thread::scope(|s| {
+                for ((chunk_id, slot_chunk), verdict_chunk) in unique_occ
+                    .chunks_mut(chunk_len)
+                    .enumerate()
+                    .zip(verdicts.chunks_mut(chunk_len))
+                {
+                    s.spawn(move |_| {
+                        let mut scratch = QueryScratch::new();
+                        let mut hits = Vec::new();
+                        for (off, (slot, verdict)) in slot_chunk
+                            .iter_mut()
+                            .zip(verdict_chunk.iter_mut())
+                            .enumerate()
+                        {
+                            let k = chunk_id * chunk_len + off;
+                            *verdict = faults.item_fault(StageId::Associate, k, attempt);
+                            if *verdict != ItemFault::Pass {
+                                continue;
                             }
-                        });
-                    }
-                })
-                // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-                .expect("association worker panicked");
-            } else {
-                // Fault-aware twin of the loop above: per-item verdicts
-                // are collected positionally (chunked exactly like the
-                // slots), so thread count cannot reorder them. Faulted
-                // items keep the `None` sentinel — a poison hash simply
-                // matches no cluster.
-                let mut verdicts: Vec<ItemFault> = vec![ItemFault::Pass; n_unique];
-                let faults = &*self.faults;
-                let attempt = self.attempt;
-                crossbeam::thread::scope(|s| {
-                    for ((chunk_id, slot_chunk), verdict_chunk) in unique_occ
-                        .chunks_mut(chunk_len)
-                        .enumerate()
-                        .zip(verdicts.chunks_mut(chunk_len))
-                    {
-                        s.spawn(move |_| {
-                            let mut scratch = QueryScratch::new();
-                            let mut hits = Vec::new();
-                            for (off, (slot, verdict)) in slot_chunk
-                                .iter_mut()
-                                .zip(verdict_chunk.iter_mut())
-                                .enumerate()
-                            {
-                                let k = chunk_id * chunk_len + off;
-                                *verdict = faults.item_fault(StageId::Associate, k, attempt);
-                                if *verdict != ItemFault::Pass {
-                                    continue;
-                                }
-                                let h = groups_ref.unique()[k];
-                                assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
-                                *slot = hits
-                                    .iter()
-                                    .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
-                                    .map(|&pos| annotated[pos]);
-                            }
-                        });
-                    }
-                })
-                // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-                .expect("association worker panicked");
-                // Quarantine coordinates are post indices: map each
-                // poisoned unique hash to its first owning post.
-                let mut first_owner = vec![usize::MAX; n_unique];
-                for i in (0..n).rev() {
-                    first_owner[groups.owner_of(i)] = i;
+                            let h = groups_ref.unique()[k];
+                            assoc_index.radius_query_into(h, theta, &mut scratch, &mut hits);
+                            *slot = hits
+                                .iter()
+                                .min_by_key(|&&pos| (h.distance(assoc_index.hash_at(pos)), pos))
+                                .map(|&pos| annotated[pos]);
+                        }
+                    });
                 }
-                quarantined = collect_item_verdicts(StageId::Associate, &verdicts, attempt, |k| {
-                    first_owner[k]
-                })?;
-            }
+            })
+            // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
+            .expect("association worker panicked");
+            // Quarantine coordinates are post indices: a faulted unique
+            // hash maps to its first owning post (owner lists ascend).
+            quarantined = collect_item_verdicts(StageId::Associate, &verdicts, attempt, |k| {
+                groups.owners(k)[0] as usize
+            })?;
             for (i, slot) in occurrences.iter_mut().enumerate() {
                 *slot = unique_occ[groups.owner_of(i)];
             }
@@ -700,12 +671,12 @@ impl Pipeline {
 
     /// Step 1 worker: hash every post's image in parallel.
     ///
-    /// Under an active fault oracle, every item's verdict is collected
-    /// (deterministically, in a pre-chunked verdict table so thread
-    /// count cannot reorder anything): transient item faults abort the
-    /// stage with a retryable [`StageError::Transient`]; poison items
-    /// keep the `PHash::default()` sentinel and come back as quarantine
-    /// entries. The clean path is the original loop, untouched.
+    /// Every item's fault verdict is collected (deterministically, in a
+    /// pre-chunked verdict table so thread count cannot reorder
+    /// anything): transient item faults abort the stage with a
+    /// retryable [`StageError::Transient`]; poison items keep the
+    /// `PHash::default()` sentinel and come back as quarantine entries.
+    /// [`NoFaults`](crate::supervise::NoFaults) passes every item.
     fn hash_posts(
         &self,
         dataset: &Dataset,
@@ -728,32 +699,6 @@ impl Pipeline {
         let n_chunks = n.div_ceil(chunk_len);
         let mut worker_stats = vec![RenderStats::default(); n_chunks];
         let mut hashes = vec![PHash::default(); n];
-        if !self.faults.enabled() {
-            crossbeam::thread::scope(|s| {
-                for ((chunk_id, slot_chunk), stats) in hashes
-                    .chunks_mut(chunk_len)
-                    .enumerate()
-                    .zip(worker_stats.iter_mut())
-                {
-                    let cache = &cache;
-                    s.spawn(move |_| {
-                        // lint:allow(panic-reachable): new() uses the default hash/DCT sizes, which satisfy with_sizes' contract
-                        let hasher = PerceptualHasher::new();
-                        let mut scratch = HashScratch::new();
-                        for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            let post = &dataset.posts[chunk_id * chunk_len + off];
-                            // lint:allow(panic-reachable): post canvases render at fixed non-zero dimensions, so Image::filled's contract holds
-                            let img = dataset.render_post_cached(post, cache, stats);
-                            *slot = hasher.hash_into(img.as_image(), &mut scratch);
-                        }
-                    });
-                }
-            })
-            // lint:allow(panic-in-pipeline): crossbeam scope re-raises a worker panic; nothing to recover
-            .expect("hashing worker panicked");
-            self.record_render_stats(&cache, &worker_stats);
-            return Ok((hashes, Vec::new()));
-        }
         let mut verdicts: Vec<ItemFault> = vec![ItemFault::Pass; n];
         let faults = &*self.faults;
         let attempt = self.attempt;

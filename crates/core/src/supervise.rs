@@ -70,24 +70,17 @@ pub enum ItemFault {
 /// points. Production uses [`NoFaults`]; the chaos suite adapts a
 /// [`meme_simweb::ExecFaultSpec`] through [`SpecFaults`].
 pub trait ExecFaults: fmt::Debug + Send + Sync {
-    /// Whether any fault can ever fire (lets hot loops skip per-item
-    /// consultation entirely).
-    fn enabled(&self) -> bool;
     /// The fault for one attempt of a stage.
     fn stage_fault(&self, stage: StageId, attempt: u32) -> StageFault;
     /// The fault for one item of a stage on one attempt.
     fn item_fault(&self, stage: StageId, item: usize, attempt: u32) -> ItemFault;
 }
 
-/// The production oracle: injects nothing, costs one `bool` check.
+/// The production oracle: injects nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoFaults;
 
 impl ExecFaults for NoFaults {
-    fn enabled(&self) -> bool {
-        false
-    }
-
     fn stage_fault(&self, _stage: StageId, _attempt: u32) -> StageFault {
         StageFault::Pass
     }
@@ -103,10 +96,6 @@ impl ExecFaults for NoFaults {
 pub struct SpecFaults(pub ExecFaultSpec);
 
 impl ExecFaults for SpecFaults {
-    fn enabled(&self) -> bool {
-        self.0.is_active()
-    }
-
     fn stage_fault(&self, stage: StageId, attempt: u32) -> StageFault {
         match self.0.stage_fault(stage.name(), attempt) {
             ExecStageFault::Pass => StageFault::Pass,
@@ -667,7 +656,6 @@ mod tests {
     #[test]
     fn no_faults_is_inert() {
         let f = NoFaults;
-        assert!(!f.enabled());
         assert_eq!(f.stage_fault(StageId::Hash, 0), StageFault::Pass);
         assert_eq!(f.item_fault(StageId::Associate, 7, 0), ItemFault::Pass);
     }
@@ -675,7 +663,6 @@ mod tests {
     #[test]
     fn spec_faults_adapt_stage_names() {
         let f = SpecFaults(ExecFaultSpec::persistent_panic(1, "cluster"));
-        assert!(f.enabled());
         assert_eq!(f.stage_fault(StageId::Cluster, 4), StageFault::Panic);
         assert_eq!(f.stage_fault(StageId::Hash, 0), StageFault::Pass);
     }

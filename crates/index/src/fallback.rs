@@ -1,30 +1,20 @@
-//! Engine fallback: MIH → BK-tree → brute force.
-//!
-//! The banded and tree-structured engines are fast *on the workloads
-//! they were designed for*. Outside those envelopes they silently
-//! degenerate to worse-than-brute-force behaviour:
+//! Engine choice: MIH for small radii, brute force for large ones.
 //!
 //! * **MIH** needs bands of a few bits each — at radius `r` it builds
 //!   `r + 1` bands over 64 bits, so large radii produce 1–2-bit bands
 //!   whose buckets hold most of the corpus, and every probe rescans it.
-//!   It also collapses when one identical hash dominates the corpus
-//!   (e.g. a corrupted feed emitting the same image): the dominant
-//!   bucket turns every query quadratic.
-//! * **BK-trees** prune by the triangle inequality; once the radius
-//!   approaches half the hash width there is nothing to prune. Massive
-//!   duplication degenerates the tree into a linked list of distance-0
-//!   children.
 //! * **Brute force** is O(n) per query regardless of the data — slower
-//!   on friendly workloads, but immune to hostile ones.
+//!   on friendly workloads, but immune to hostile ones, and it answers
+//!   any radius.
 //!
-//! [`FallbackIndex::build`] tries the engines in that order, records
-//! why each rejected the workload, and always returns a working index —
-//! graceful degradation instead of a quadratic stall or a panic.
+//! [`FallbackIndex::plan`] decides from the radius alone. Exact
+//! duplicates never reach an engine in production: the cluster and
+//! serve builds index [`crate::HashGroups::unique`], and the
+//! association index holds one medoid per annotated cluster.
 
-use crate::{BkTreeIndex, BruteForceIndex, HammingIndex, MihIndex, QueryScratch};
+use crate::{BruteForceIndex, HammingIndex, MihIndex, QueryScratch};
 use meme_phash::PHash;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::fmt;
 
 /// The engine a [`FallbackIndex`] settled on.
@@ -32,9 +22,7 @@ use std::fmt;
 pub enum IndexEngine {
     /// Multi-index hashing (the preferred engine).
     Mih,
-    /// BK-tree over the Hamming metric.
-    BkTree,
-    /// Parallel linear scan (the last resort; never rejects).
+    /// Parallel linear scan (large radii; never rejects).
     BruteForce,
 }
 
@@ -43,7 +31,6 @@ impl IndexEngine {
     pub fn name(self) -> &'static str {
         match self {
             Self::Mih => "multi-index hashing",
-            Self::BkTree => "BK-tree",
             Self::BruteForce => "brute force",
         }
     }
@@ -52,7 +39,6 @@ impl IndexEngine {
     pub fn slug(self) -> &'static str {
         match self {
             Self::Mih => "mih",
-            Self::BkTree => "bk_tree",
             Self::BruteForce => "brute_force",
         }
     }
@@ -76,14 +62,6 @@ pub enum IndexError {
         /// Largest radius the engine accepts.
         limit: u32,
     },
-    /// A single hash value dominates the corpus, degenerating the
-    /// engine's data structure.
-    DegenerateWorkload {
-        /// The engine that declined.
-        engine: IndexEngine,
-        /// Fraction of the corpus held by the most common hash.
-        dominant_fraction: f64,
-    },
 }
 
 impl fmt::Display for IndexError {
@@ -97,15 +75,6 @@ impl fmt::Display for IndexError {
                 f,
                 "{engine} rejects radius {radius} (accepts up to {limit})"
             ),
-            Self::DegenerateWorkload {
-                engine,
-                dominant_fraction,
-            } => write!(
-                f,
-                "{engine} rejects duplicate-dominated workload \
-                 ({:.0}% of hashes identical)",
-                100.0 * dominant_fraction
-            ),
         }
     }
 }
@@ -116,101 +85,60 @@ impl std::error::Error for IndexError {}
 /// (`64 / (radius + 1) < 4`) and bucket selectivity vanishes.
 const MIH_MAX_RADIUS: u32 = 15;
 
-/// Largest radius the BK-tree accepts: at half the hash width the
-/// triangle inequality prunes nothing.
-const BK_MAX_RADIUS: u32 = 31;
-
-/// Minimum corpus size before duplicate domination matters; tiny
-/// workloads are cheap under any engine.
-const DUP_CHECK_MIN: usize = 16;
-
-/// A radius-query index that always builds: MIH when the workload fits
-/// its envelope, else a BK-tree, else brute force.
+/// A radius-query index that always builds: MIH when the radius fits
+/// its envelope, else brute force.
 #[derive(Debug, Clone)]
 pub struct FallbackIndex {
     backend: Backend,
-    rejections: Vec<IndexError>,
+    rejection: Option<IndexError>,
 }
 
 #[derive(Debug, Clone)]
 enum Backend {
     Mih(MihIndex),
-    Bk(BkTreeIndex),
     Brute(BruteForceIndex),
 }
 
 impl FallbackIndex {
-    /// Decide which engine would take `hashes` at `radius` — without
-    /// building anything. Cheap (one duplicate count), so callers that
-    /// want to time or label the build (e.g. a metrics span named after
-    /// the engine) can plan first, then call [`FallbackIndex::build`].
-    pub fn plan(hashes: &[PHash], radius: u32) -> (IndexEngine, Vec<IndexError>) {
-        let dominant = dominant_fraction(hashes);
-        let degenerate = hashes.len() >= DUP_CHECK_MIN && dominant > 0.5;
-        let mut rejections = Vec::new();
-
-        if radius > MIH_MAX_RADIUS {
-            rejections.push(IndexError::RadiusTooLarge {
-                engine: IndexEngine::Mih,
-                radius,
-                limit: MIH_MAX_RADIUS,
-            });
-        } else if degenerate {
-            rejections.push(IndexError::DegenerateWorkload {
-                engine: IndexEngine::Mih,
-                dominant_fraction: dominant,
-            });
-        } else {
-            return (IndexEngine::Mih, rejections);
+    /// The engine that would take radius-`radius` queries, and why MIH
+    /// declined if it did. Builds nothing, so callers that want to time
+    /// or label the build (e.g. a metrics span named after the engine)
+    /// can plan first, then call [`FallbackIndex::build`].
+    pub fn plan(radius: u32) -> (IndexEngine, Option<IndexError>) {
+        if radius <= MIH_MAX_RADIUS {
+            return (IndexEngine::Mih, None);
         }
-
-        if radius > BK_MAX_RADIUS {
-            rejections.push(IndexError::RadiusTooLarge {
-                engine: IndexEngine::BkTree,
-                radius,
-                limit: BK_MAX_RADIUS,
-            });
-        } else if degenerate {
-            rejections.push(IndexError::DegenerateWorkload {
-                engine: IndexEngine::BkTree,
-                dominant_fraction: dominant,
-            });
-        } else {
-            return (IndexEngine::BkTree, rejections);
-        }
-
-        (IndexEngine::BruteForce, rejections)
+        let rejection = IndexError::RadiusTooLarge {
+            engine: IndexEngine::Mih,
+            radius,
+            limit: MIH_MAX_RADIUS,
+        };
+        (IndexEngine::BruteForce, Some(rejection))
     }
 
-    /// Build an index for radius-`radius` queries over `hashes`,
-    /// falling back MIH → BK-tree → brute force as engines decline.
+    /// Build an index for radius-`radius` queries over `hashes` with
+    /// the engine [`FallbackIndex::plan`] picks.
     pub fn build(hashes: Vec<PHash>, radius: u32) -> Self {
-        let (engine, rejections) = Self::plan(&hashes, radius);
+        let (engine, rejection) = Self::plan(radius);
         let backend = match engine {
             // lint:allow(panic-reachable): plan() selects MIH only for radius < 64 and in-u32 gallery sizes, so new()'s contract holds
             IndexEngine::Mih => Backend::Mih(MihIndex::new(hashes, radius)),
-            IndexEngine::BkTree => Backend::Bk(BkTreeIndex::new(hashes)),
             IndexEngine::BruteForce => Backend::Brute(BruteForceIndex::new(hashes)),
         };
-        Self {
-            backend,
-            rejections,
-        }
+        Self { backend, rejection }
     }
 
     /// The engine that accepted the workload.
     pub fn engine(&self) -> IndexEngine {
         match self.backend {
             Backend::Mih(_) => IndexEngine::Mih,
-            Backend::Bk(_) => IndexEngine::BkTree,
             Backend::Brute(_) => IndexEngine::BruteForce,
         }
     }
 
-    /// Why the preferred engines declined, in fallback order (empty
-    /// when MIH took the workload).
+    /// Why MIH declined (empty when MIH took the workload).
     pub fn rejections(&self) -> &[IndexError] {
-        &self.rejections
+        self.rejection.as_slice()
     }
 }
 
@@ -218,7 +146,6 @@ impl HammingIndex for FallbackIndex {
     fn len(&self) -> usize {
         match &self.backend {
             Backend::Mih(i) => i.len(),
-            Backend::Bk(i) => i.len(),
             Backend::Brute(i) => i.len(),
         }
     }
@@ -226,7 +153,6 @@ impl HammingIndex for FallbackIndex {
     fn hash_at(&self, i: usize) -> PHash {
         match &self.backend {
             Backend::Mih(x) => x.hash_at(i),
-            Backend::Bk(x) => x.hash_at(i),
             Backend::Brute(x) => x.hash_at(i),
         }
     }
@@ -234,7 +160,6 @@ impl HammingIndex for FallbackIndex {
     fn radius_query(&self, query: PHash, radius: u32) -> Vec<usize> {
         match &self.backend {
             Backend::Mih(x) => x.radius_query(query, radius),
-            Backend::Bk(x) => x.radius_query(query, radius),
             Backend::Brute(x) => x.radius_query(query, radius),
         }
     }
@@ -249,7 +174,6 @@ impl HammingIndex for FallbackIndex {
     ) {
         match &self.backend {
             Backend::Mih(x) => x.radius_query_into(query, radius, scratch, out),
-            Backend::Bk(x) => x.radius_query_into(query, radius, scratch, out),
             Backend::Brute(x) => x.radius_query_into(query, radius, scratch, out),
         }
     }
@@ -264,7 +188,6 @@ impl HammingIndex for FallbackIndex {
     ) {
         match &self.backend {
             Backend::Mih(x) => x.radius_query_from(query, radius, start, scratch, out),
-            Backend::Bk(x) => x.radius_query_from(query, radius, start, scratch, out),
             Backend::Brute(x) => x.radius_query_from(query, radius, start, scratch, out),
         }
     }
@@ -272,24 +195,9 @@ impl HammingIndex for FallbackIndex {
     fn memory_bytes(&self) -> usize {
         match &self.backend {
             Backend::Mih(x) => x.memory_bytes(),
-            Backend::Bk(x) => x.memory_bytes(),
             Backend::Brute(x) => x.memory_bytes(),
         }
     }
-}
-
-/// Share of the corpus held by the most common hash value (0 for an
-/// empty corpus).
-fn dominant_fraction(hashes: &[PHash]) -> f64 {
-    if hashes.is_empty() {
-        return 0.0;
-    }
-    let mut counts: HashMap<u64, usize> = HashMap::new();
-    for h in hashes {
-        *counts.entry(h.0).or_insert(0) += 1;
-    }
-    let max = counts.values().copied().max().unwrap_or(0);
-    max as f64 / hashes.len() as f64
 }
 
 #[cfg(test)]
@@ -311,34 +219,33 @@ mod tests {
     }
 
     #[test]
-    fn large_radius_falls_to_bk_then_brute() {
-        let idx = FallbackIndex::build(distinct_hashes(100), 20);
-        assert_eq!(idx.engine(), IndexEngine::BkTree);
-        assert_eq!(idx.rejections().len(), 1);
+    fn radius_past_mih_limit_falls_to_brute() {
+        let idx = FallbackIndex::build(distinct_hashes(100), MIH_MAX_RADIUS);
+        assert_eq!(idx.engine(), IndexEngine::Mih);
 
-        let idx = FallbackIndex::build(distinct_hashes(100), 40);
+        let idx = FallbackIndex::build(distinct_hashes(100), 16);
         assert_eq!(idx.engine(), IndexEngine::BruteForce);
-        assert_eq!(idx.rejections().len(), 2);
+        assert_eq!(
+            idx.rejections(),
+            [IndexError::RadiusTooLarge {
+                engine: IndexEngine::Mih,
+                radius: 16,
+                limit: MIH_MAX_RADIUS,
+            }]
+        );
     }
 
     #[test]
-    fn duplicate_dominated_workload_falls_to_brute() {
+    fn duplicate_dominated_workload_stays_on_mih() {
         let mut hashes = distinct_hashes(30);
         hashes.extend(std::iter::repeat_n(PHash(0xDEAD_BEEF), 70));
-        let idx = FallbackIndex::build(hashes, 8);
-        assert_eq!(idx.engine(), IndexEngine::BruteForce);
-        assert_eq!(idx.rejections().len(), 2);
-        assert!(matches!(
-            idx.rejections()[0],
-            IndexError::DegenerateWorkload { .. }
-        ));
-    }
-
-    #[test]
-    fn tiny_duplicate_workloads_stay_on_mih() {
-        let hashes = vec![PHash(7); DUP_CHECK_MIN - 1];
-        let idx = FallbackIndex::build(hashes, 8);
+        let idx = FallbackIndex::build(hashes.clone(), 8);
         assert_eq!(idx.engine(), IndexEngine::Mih);
+        assert!(idx.rejections().is_empty());
+        let brute = BruteForceIndex::new(hashes.clone());
+        for &q in &hashes {
+            assert_eq!(idx.radius_query(q, 8), brute.radius_query(q, 8));
+        }
     }
 
     #[test]
@@ -346,7 +253,7 @@ mod tests {
         let mut hashes = distinct_hashes(50);
         hashes.extend(std::iter::repeat_n(PHash(42), 150));
         let brute = BruteForceIndex::new(hashes.clone());
-        for radius in [0u32, 8, 20, 40] {
+        for radius in [0u32, 8, 20, 40, 64] {
             let idx = FallbackIndex::build(hashes.clone(), radius);
             for &q in hashes.iter().take(20) {
                 assert_eq!(

@@ -1,11 +1,11 @@
-//! Cross-backend equivalence: MIH, BK-tree, and brute force must return
+//! Cross-backend equivalence: MIH and brute force must return
 //! *identical* neighbor sets — especially at the `eps`/`theta` decision
 //! boundary (the paper's eps = θ = 8), and including the self-match —
 //! so DBSCAN's core test (`nb.len() + 1 >= min_pts`) means exactly the
-//! same thing no matter which engine a [`FallbackIndex`] degraded to.
+//! same thing no matter which engine a [`FallbackIndex`] picked.
 
 use meme_index::{
-    all_neighbors, BkTreeIndex, BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex,
+    all_neighbors, BruteForceIndex, FallbackIndex, HammingIndex, IndexEngine, MihIndex,
 };
 use meme_phash::PHash;
 use meme_stats::seeded_rng;
@@ -43,7 +43,6 @@ fn boundary_corpus(seed: u64) -> Vec<PHash> {
 fn engines(hashes: &[PHash]) -> Vec<(&'static str, Box<dyn HammingIndex>)> {
     vec![
         ("brute", Box::new(BruteForceIndex::new(hashes.to_vec()))),
-        ("bk", Box::new(BkTreeIndex::new(hashes.to_vec()))),
         ("mih", Box::new(MihIndex::new(hashes.to_vec(), BOUNDARY))),
     ]
 }
@@ -95,10 +94,8 @@ fn engines_agree_on_self_inclusion() {
 fn all_neighbors_identical_across_engines_and_self_excluded() {
     let hashes = boundary_corpus(103);
     let brute = BruteForceIndex::new(hashes.clone());
-    let bk = BkTreeIndex::new(hashes.clone());
     let mih = MihIndex::new(hashes.clone(), BOUNDARY);
     let expected = all_neighbors(&brute, BOUNDARY, 2);
-    assert_eq!(all_neighbors(&bk, BOUNDARY, 2), expected, "bk");
     assert_eq!(all_neighbors(&mih, BOUNDARY, 2), expected, "mih");
     for (i, list) in expected.iter().enumerate() {
         assert!(!list.contains(&i), "self not excluded for {i}");
@@ -113,38 +110,35 @@ fn dbscan_core_test_is_backend_invariant() {
     // boundary neighbor would flip the verdict.
     let hashes = boundary_corpus(104);
     let brute = BruteForceIndex::new(hashes.clone());
-    let bk = BkTreeIndex::new(hashes.clone());
     let mih = MihIndex::new(hashes.clone(), BOUNDARY);
     let nb = all_neighbors(&brute, BOUNDARY, 2);
-    let nbk = all_neighbors(&bk, BOUNDARY, 2);
     let nmih = all_neighbors(&mih, BOUNDARY, 2);
     for min_pts in [2usize, 3, 4, 5] {
         for i in 0..hashes.len() {
             let core = nb[i].len() + 1 >= min_pts;
-            assert_eq!(nbk[i].len() + 1 >= min_pts, core, "bk, min_pts {min_pts}");
             assert_eq!(nmih[i].len() + 1 >= min_pts, core, "mih, min_pts {min_pts}");
         }
     }
 }
 
 #[test]
-fn every_fallback_degradation_level_matches_brute_force() {
+fn every_fallback_engine_choice_matches_brute_force() {
     let hashes = boundary_corpus(105);
     let reference = BruteForceIndex::new(hashes.clone());
 
-    // Level 0: clean workload at the boundary radius — MIH accepts.
+    // The boundary radius — MIH accepts.
     let mih = FallbackIndex::build(hashes.clone(), BOUNDARY);
     assert_eq!(mih.engine(), IndexEngine::Mih);
 
-    // Level 1: radius beyond MIH's envelope — BK-tree takes it.
-    let bk = FallbackIndex::build(hashes.clone(), 20);
-    assert_eq!(bk.engine(), IndexEngine::BkTree);
+    // A radius beyond MIH's envelope — brute force takes it.
+    let brute = FallbackIndex::build(hashes.clone(), 20);
+    assert_eq!(brute.engine(), IndexEngine::BruteForce);
 
-    // Level 2: duplicate-dominated workload — brute force takes it.
+    // A duplicate-dominated workload stays on MIH.
     let mut dominated = hashes.clone();
     dominated.extend(std::iter::repeat_n(PHash(0xFEED_FACE), 2 * hashes.len()));
-    let brute = FallbackIndex::build(dominated.clone(), BOUNDARY);
-    assert_eq!(brute.engine(), IndexEngine::BruteForce);
+    let dominated_mih = FallbackIndex::build(dominated.clone(), BOUNDARY);
+    assert_eq!(dominated_mih.engine(), IndexEngine::Mih);
     let dominated_ref = BruteForceIndex::new(dominated.clone());
 
     for &q in hashes.iter().take(40) {
@@ -154,14 +148,14 @@ fn every_fallback_degradation_level_matches_brute_force() {
             "fallback level mih"
         );
         assert_eq!(
-            bk.radius_query(q, BOUNDARY),
+            brute.radius_query(q, BOUNDARY),
             reference.radius_query(q, BOUNDARY),
-            "fallback level bk"
+            "fallback level brute"
         );
         assert_eq!(
-            brute.radius_query(q, BOUNDARY),
+            dominated_mih.radius_query(q, BOUNDARY),
             dominated_ref.radius_query(q, BOUNDARY),
-            "fallback level brute"
+            "duplicate-dominated mih"
         );
     }
 }

@@ -3,7 +3,7 @@
 use crate::json::{write_escaped, write_f64};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Aggregated wall-time statistics of one span path.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,28 +111,37 @@ impl Registry {
         Self::default()
     }
 
-    /// Add `delta` to a counter, creating it at zero first.
+    /// The store, recovered if a panicking writer poisoned the mutex:
+    /// every update leaves the maps consistent, so one panic elsewhere
+    /// must not turn every later metric call into a panic too.
+    fn lock(&self) -> MutexGuard<'_, Snapshot> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Add `delta` to a counter, creating it at zero first. Saturates
+    /// at `u64::MAX` instead of overflowing.
     pub fn add_counter(&self, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        *inner.counters.entry(name.to_string()).or_insert(0) += delta;
+        let mut inner = self.lock();
+        let counter = inner.counters.entry(name.to_string()).or_insert(0);
+        *counter = counter.saturating_add(delta);
     }
 
     /// Current counter value (0 if never written).
     pub fn counter_value(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().expect("metrics registry poisoned");
+        let inner = self.lock();
         inner.counters.get(name).copied().unwrap_or(0)
     }
 
     /// Set a gauge (last write wins).
     pub fn set_gauge(&self, name: &str, value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner.gauges.insert(name.to_string(), value);
     }
 
     /// Record one observation into a fixed-bucket histogram. The bounds
     /// are fixed on first use; later `bounds` arguments are ignored.
     pub fn observe(&self, name: &str, bounds: &[f64], value: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         inner
             .histograms
             .entry(name.to_string())
@@ -142,7 +151,7 @@ impl Registry {
 
     /// Record one completed span invocation.
     pub fn record_span(&self, path: &str, secs: f64) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        let mut inner = self.lock();
         match inner.spans.get_mut(path) {
             Some(s) => s.record(secs),
             None => {
@@ -153,10 +162,7 @@ impl Registry {
 
     /// Copy out every metric.
     pub fn snapshot(&self) -> Snapshot {
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .clone()
+        self.lock().clone()
     }
 
     /// Export as pretty-printed JSON with deterministic key order.
@@ -334,6 +340,38 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(r.counter_value("n"), 8000);
+    }
+
+    #[test]
+    fn counter_overflow_saturates_and_the_registry_stays_usable() {
+        let r = Registry::new();
+        r.add_counter("x", u64::MAX);
+        r.add_counter("x", 1);
+        assert_eq!(r.counter_value("x"), u64::MAX);
+        assert_eq!(r.snapshot().counters["x"], u64::MAX);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_later_calls() {
+        use std::sync::Arc;
+        let r = Arc::new(Registry::new());
+        r.add_counter("before", 1);
+        let writer = Arc::clone(&r);
+        let panicked = std::thread::spawn(move || {
+            let _guard = writer.inner.lock();
+            panic!("writer dies holding the registry lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(r.inner.is_poisoned());
+        r.add_counter("after", 2);
+        r.set_gauge("g", 1.0);
+        r.observe("h", &[1.0], 0.5);
+        r.record_span("p", 0.1);
+        let snap = r.snapshot();
+        assert_eq!(snap.counters["before"], 1);
+        assert_eq!(r.counter_value("after"), 2);
+        assert!(r.to_json().contains("\"after\": 2"));
     }
 
     #[test]

@@ -57,8 +57,7 @@ fn steady_state_lookups_do_not_allocate() {
     {
         let snap = store.load();
         assert!(!snap.is_empty(), "tiny run produced no annotated clusters");
-        // θ = 8 keeps the fallback on MIH; the BK-tree backend's
-        // recursive descent is not part of the zero-alloc contract.
+        // θ = 8 keeps the fallback on MIH, the engine this audit covers.
         assert_eq!(snap.engine(), IndexEngine::Mih);
     }
 

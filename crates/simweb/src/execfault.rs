@@ -215,12 +215,6 @@ impl ExecFaultSpec {
         }
     }
 
-    /// Whether this schedule can inject anything at all (lets hot loops
-    /// skip per-item consultation when idle).
-    pub fn is_active(&self) -> bool {
-        !self.stage_faults.is_empty() || !self.item_faults.is_empty()
-    }
-
     /// The fault (if any) for one attempt of the named stage.
     pub fn stage_fault(&self, stage: &str, attempt: u32) -> ExecStageFault {
         for rule in &self.stage_faults {
@@ -286,7 +280,6 @@ mod tests {
     #[test]
     fn clean_spec_injects_nothing() {
         let spec = ExecFaultSpec::clean(7);
-        assert!(!spec.is_active());
         assert_eq!(spec.stage_fault("hash", 0), ExecStageFault::Pass);
         assert_eq!(spec.item_fault("hash", 3, 0), ExecItemFault::Pass);
         assert_eq!(spec.write_fault(0), ExecWriteFault::Pass);

@@ -56,8 +56,8 @@ fn chaos_nan_storm_skips_poisoned_clusters() {
 #[test]
 fn chaos_duplicate_flood_is_absorbed_by_dedup() {
     // Duplicate-hash collapsing (DESIGN.md §10) builds the cluster index
-    // over *unique* hashes, so a flood of exact copies no longer forces
-    // the degenerate-corpus MIH demotion — it is absorbed upstream.
+    // over *unique* hashes, so a flood of exact copies is absorbed
+    // upstream and the index stays on MIH.
     let mut dataset = SimConfig::tiny(31).generate();
     let report = FaultSpec::duplicate_flood(2).apply(&mut dataset);
     assert!(report.any(), "preset corrupted nothing");

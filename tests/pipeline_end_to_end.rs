@@ -2,6 +2,7 @@
 //! synthetic ecosystem, checked against the paper's qualitative claims
 //! (the "shape targets" of DESIGN.md §4).
 
+use origins_of_memes::annotate::annotate_clusters;
 use origins_of_memes::cluster::dbscan::DbscanParams;
 use origins_of_memes::core::analysis::{self, MemeFilter};
 use origins_of_memes::core::pipeline::{Pipeline, PipelineConfig, PipelineOutput};
@@ -194,6 +195,27 @@ fn eps_sweep_shape() {
     assert!(rows[0].noise_pct > rows[1].noise_pct);
     assert!(rows[1].noise_pct >= rows[2].noise_pct);
     assert!(rows[1].purity > 0.9, "purity at 8: {}", rows[1].purity);
+}
+
+#[test]
+fn annotation_past_the_mih_radius_answers_through_brute_force() {
+    let (_, output) = fixture();
+    let medoids = &output.medoid_hashes[..5.min(output.medoid_hashes.len())];
+    assert!(!medoids.is_empty());
+    // θ = 64 spans the whole hash space, so every medoid matches every
+    // entry that has a gallery image.
+    let with_gallery = output
+        .site
+        .entries
+        .iter()
+        .filter(|e| !e.gallery.is_empty())
+        .count();
+    let annotations = annotate_clusters(medoids, &output.site, 64);
+    assert_eq!(annotations.len(), medoids.len());
+    for a in &annotations {
+        assert!(a.is_annotated(), "cluster {}", a.cluster);
+        assert_eq!(a.entry_count(), with_gallery, "cluster {}", a.cluster);
+    }
 }
 
 #[test]
